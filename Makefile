@@ -39,7 +39,7 @@ bench-json:
 # (allocs/op is near-deterministic, unlike ns/op). Benchmarks without a
 # baseline entry are reported as "new (no baseline)" and skipped.
 bench-guard:
-	$(GO) test -bench='BenchmarkAdmit$$|BenchmarkSweepWorkers|BenchmarkShardedRun|BenchmarkArenaPoint$$|BenchmarkHybridSteadyState|BenchmarkBuildHyperscale|BenchmarkColfmtWrite' -benchmem -benchtime=1x -run=^$$ ./... \
+	$(GO) test -bench='BenchmarkAdmit$$|BenchmarkSweepWorkers|BenchmarkShardedRun|BenchmarkArenaPoint$$|BenchmarkHybridSteadyState|BenchmarkBuildHyperscale|BenchmarkColfmtWrite|BenchmarkReceiverLossRecovery|BenchmarkL2BMIngressThreshold' -benchmem -benchtime=1x -run=^$$ ./... \
 		| $(GO) run ./cmd/benchguard -baseline BENCH_BASELINE.json
 
 # The policy arena: every registered buffer-management policy (the paper's

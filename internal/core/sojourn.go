@@ -35,6 +35,9 @@ type sojournQueue struct {
 	// skip the O(ports) resident scan on the admission fast path).
 	nzPorts int
 	hot     int
+
+	// slot is this queue's index in SojournTable.live while n > 0.
+	slot int
 }
 
 func (q *sojournQueue) ensure(ports int) {
@@ -211,9 +214,6 @@ func (q *sojournQueue) peekTau(s StateView, prio int, excludePause bool) sim.Dur
 	return sim.Duration(total / float64(q.n))
 }
 
-// active reports whether the queue currently holds packets.
-func (q *sojournQueue) active() bool { return q.n > 0 }
-
 // SojournTable is the per-switch congestion-detection module (paper §III-B):
 // one sojournQueue per (ingress port, priority). It is exported for tests
 // and for the L2BM policy; the MMU drives it through the Policy hooks.
@@ -224,8 +224,15 @@ func (q *sojournQueue) active() bool { return q.n > 0 }
 // bursts at identical timestamps, and between packets of the same instant
 // the aggregates only change through enqueue/dequeue, which invalidate the
 // cache.
+//
+// The aggregates range over live, the queues holding packets, kept in step
+// with each queue's 0↔1 transitions, so a refresh costs O(active) rather
+// than O(ports × priorities). Σ τ and max τ are integer reductions, so the
+// order of live cannot change them, and every refresh still advances
+// exactly the active queues at the same instant as a full scan would.
 type SojournTable struct {
 	queues       []*sojournQueue
+	live         []*sojournQueue
 	excludePause bool
 
 	cacheAt    sim.Time
@@ -260,13 +267,27 @@ func (t *SojournTable) queue(port, prio int) *sojournQueue {
 // OnEnqueue records the admission of p (MMU has stamped InPort/InPrio/OutPort).
 func (t *SojournTable) OnEnqueue(s StateView, p *pkt.Packet) {
 	t.cacheValid = false
-	t.queue(p.InPort, p.InPrio).onEnqueue(s, p.OutPort, p.InPrio, t.excludePause)
+	q := t.queue(p.InPort, p.InPrio)
+	q.onEnqueue(s, p.OutPort, p.InPrio, t.excludePause)
+	if q.n == 1 {
+		q.slot = len(t.live)
+		t.live = append(t.live, q)
+	}
 }
 
 // OnDequeue records the departure of p from shared memory.
 func (t *SojournTable) OnDequeue(s StateView, p *pkt.Packet) {
 	t.cacheValid = false
-	t.queue(p.InPort, p.InPrio).onDequeue(s, p.OutPort, p.InPrio, t.excludePause)
+	q := t.queue(p.InPort, p.InPrio)
+	wasLive := q.n > 0
+	q.onDequeue(s, p.OutPort, p.InPrio, t.excludePause)
+	if wasLive && q.n == 0 {
+		last := t.live[len(t.live)-1]
+		t.live[q.slot] = last
+		last.slot = q.slot
+		t.live[len(t.live)-1] = nil
+		t.live = t.live[:len(t.live)-1]
+	}
 }
 
 // Tau returns the average sojourn time of ingress queue (port, prio).
@@ -287,11 +308,7 @@ func (t *SojournTable) refreshAggregates(s StateView, floor sim.Duration) {
 		return
 	}
 	var sum, maxTau sim.Duration
-	active := 0
-	for _, q := range t.queues {
-		if q == nil || !q.active() {
-			continue
-		}
+	for _, q := range t.live {
 		tau := q.tau(s, q.prio, t.excludePause)
 		if tau < floor {
 			tau = floor
@@ -300,10 +317,9 @@ func (t *SojournTable) refreshAggregates(s StateView, floor sim.Duration) {
 		if tau > maxTau {
 			maxTau = tau
 		}
-		active++
 	}
 	t.cacheAt, t.cacheValid, t.cacheFloor = now, true, floor
-	t.cacheSum, t.cacheMax, t.cacheN = sum, maxTau, active
+	t.cacheSum, t.cacheMax, t.cacheN = sum, maxTau, len(t.live)
 }
 
 // SumActiveTau returns Σ τ over all ingress queues currently holding
@@ -345,7 +361,7 @@ func (t *SojournTable) PeekActive(s StateView, floor sim.Duration) []ActiveQueue
 // nothing.
 func (t *SojournTable) PeekActiveAppend(dst []ActiveQueue, s StateView, floor sim.Duration) []ActiveQueue {
 	for idx, q := range t.queues {
-		if q == nil || !q.active() {
+		if q == nil || q.n == 0 {
 			continue
 		}
 		tau := q.peekTau(s, q.prio, t.excludePause)

@@ -12,6 +12,7 @@ package dctcp
 
 import (
 	"math"
+	"sort"
 
 	"l2bm/internal/pkt"
 	"l2bm/internal/sim"
@@ -332,11 +333,14 @@ type Receiver struct {
 	peer   int // sender host (ACK destination)
 
 	recvNxt  int64
-	ooo      map[int64]int64 // seq -> end, out-of-order segments
-	expected int64           // total flow size, learned from the FIN segment
+	ooo      []segment // out-of-order segments, sorted by seq, seq unique, every seq > recvNxt
+	expected int64     // total flow size, learned from the FIN segment
 	complete bool
 	onDone   func(at sim.Time)
 }
+
+// segment is one buffered out-of-order byte range [seq, end).
+type segment struct{ seq, end int64 }
 
 // NewReceiver builds a receiver for flowID; onDone fires once when the byte
 // stream is complete.
@@ -347,7 +351,6 @@ func NewReceiver(env transport.Env, flowID pkt.FlowID, host, peer int, onDone fu
 		flowID: flowID,
 		host:   host,
 		peer:   peer,
-		ooo:    make(map[int64]int64),
 		onDone: onDone,
 	}
 }
@@ -368,8 +371,8 @@ func (r *Receiver) HandleData(p *pkt.Packet) {
 			r.recvNxt = p.End()
 		}
 		r.mergeOOO()
-	} else if end, ok := r.ooo[p.Seq]; !ok || p.End() > end {
-		r.ooo[p.Seq] = p.End()
+	} else {
+		r.buffer(p.Seq, p.End())
 	}
 
 	ack := r.pool.Ack(r.flowID, r.host, r.peer, r.recvNxt, p.CE)
@@ -377,27 +380,48 @@ func (r *Receiver) HandleData(p *pkt.Packet) {
 
 	if !r.complete && r.expected > 0 && r.recvNxt >= r.expected {
 		r.complete = true
+		// Nothing can be buffered past the last byte; drop the backing
+		// array, since the host keeps every receiver for the whole run.
+		r.ooo = nil
 		if r.onDone != nil {
 			r.onDone(r.env.Now())
 		}
 	}
 }
 
-// mergeOOO folds buffered segments into the contiguous prefix.
+// buffer records the out-of-order segment [seq, end). Segments usually
+// arrive in ascending order behind a hole, so the tail append is tried
+// before the binary search. A repeated seq keeps the larger end.
+func (r *Receiver) buffer(seq, end int64) {
+	n := len(r.ooo)
+	i := n
+	if n > 0 && r.ooo[n-1].seq >= seq {
+		i = sort.Search(n, func(k int) bool { return r.ooo[k].seq >= seq })
+	}
+	if i < n && r.ooo[i].seq == seq {
+		if end > r.ooo[i].end {
+			r.ooo[i].end = end
+		}
+		return
+	}
+	r.ooo = append(r.ooo, segment{})
+	copy(r.ooo[i+1:], r.ooo[i:])
+	r.ooo[i] = segment{seq, end}
+}
+
+// mergeOOO folds buffered segments into the contiguous prefix. The buffer
+// is sorted by seq, so the segments that now touch the prefix are exactly a
+// leading run: popping it reaches the same fixpoint as rescanning every
+// segment until none merges, touching only the merged ones.
 func (r *Receiver) mergeOOO() {
-	for {
-		progressed := false
-		for seq, end := range r.ooo {
-			if seq <= r.recvNxt {
-				if end > r.recvNxt {
-					r.recvNxt = end
-				}
-				delete(r.ooo, seq)
-				progressed = true
-			}
+	k := 0
+	for k < len(r.ooo) && r.ooo[k].seq <= r.recvNxt {
+		if r.ooo[k].end > r.recvNxt {
+			r.recvNxt = r.ooo[k].end
 		}
-		if !progressed {
-			return
-		}
+		k++
+	}
+	if k > 0 {
+		r.ooo = r.ooo[:copy(r.ooo, r.ooo[k:])]
 	}
 }
