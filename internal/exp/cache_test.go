@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"l2bm/internal/core"
+	"l2bm/internal/faults"
+	"l2bm/internal/sim"
 )
 
 // TestCacheKeyCanonicalization: the cache key must depend only on what a
@@ -34,20 +37,106 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 		t.Errorf("equivalent wire specs got different cache keys: %s vs %s", a, b)
 	}
 
-	base := HybridSpec{Name: "p0", Policy: "DT", Scale: ScaleTiny, RDMALoad: 0.4, TCPLoad: 0.4}
+	// The base spec sets every optional section, so each nested field has
+	// something to mutate; newBase returns fresh pointers per mutation.
+	newBase := func() HybridSpec {
+		return HybridSpec{Name: "p0", Policy: "DT", Scale: ScaleTiny, RDMALoad: 0.4, TCPLoad: 0.4,
+			Incast: &IncastSpec{Fanout: 4, RequestBytes: 200_000, QueryRate: 2000},
+			Faults: &FaultSpec{Plan: faults.Plan{FlapRate: 40, FlapDowntime: sim.Microsecond}},
+			Audit:  &AuditSpec{},
+		}
+	}
+	base := newBase()
 	baseKey, err := CacheKey(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, mutate := range map[string]func(*HybridSpec){
-		"SeedSalt": func(s *HybridSpec) { s.SeedSalt = "rerun" },
-		"Policy":   func(s *HybridSpec) { s.Policy = "L2BM" },
-		"Shards":   func(s *HybridSpec) { s.Shards = 2 },
-		"Fidelity": func(s *HybridSpec) { s.Fidelity = FidelityHybrid },
-		"Scale":    func(s *HybridSpec) { s.Scale = ScaleSmall },
-		"TCPLoad":  func(s *HybridSpec) { s.TCPLoad = 0.6 },
+	// Every key field, as "<type>.<field>", with a mutation that must change
+	// the cache key.
+	mutations := map[string]func(*HybridSpec){
+		"HybridSpec.Name":                 func(s *HybridSpec) { s.Name = "p1" },
+		"HybridSpec.SeedSalt":             func(s *HybridSpec) { s.SeedSalt = "rerun" },
+		"HybridSpec.Policy":               func(s *HybridSpec) { s.Policy = "L2BM" },
+		"HybridSpec.Scale":                func(s *HybridSpec) { s.Scale = ScaleSmall },
+		"HybridSpec.RDMALoad":             func(s *HybridSpec) { s.RDMALoad = 0.6 },
+		"HybridSpec.TCPLoad":              func(s *HybridSpec) { s.TCPLoad = 0.6 },
+		"HybridSpec.InterRackOnly":        func(s *HybridSpec) { s.InterRackOnly = true },
+		"HybridSpec.Incast":               func(s *HybridSpec) { s.Incast = nil },
+		"HybridSpec.OccupancySampleEvery": func(s *HybridSpec) { s.OccupancySampleEvery = 50 * sim.Microsecond },
+		"HybridSpec.WindowOverride":       func(s *HybridSpec) { s.WindowOverride = sim.Millisecond },
+		"HybridSpec.DrainOverride":        func(s *HybridSpec) { s.DrainOverride = 4 * sim.Millisecond },
+		"HybridSpec.Shards":               func(s *HybridSpec) { s.Shards = 2 },
+		"HybridSpec.Fidelity":             func(s *HybridSpec) { s.Fidelity = FidelityHybrid },
+		"HybridSpec.Faults":               func(s *HybridSpec) { s.Faults = nil },
+		"HybridSpec.Audit":                func(s *HybridSpec) { s.Audit = nil },
+		"IncastSpec.Fanout":               func(s *HybridSpec) { s.Incast.Fanout = 8 },
+		"IncastSpec.RequestBytes":         func(s *HybridSpec) { s.Incast.RequestBytes = 1_000_000 },
+		"IncastSpec.QueryRate":            func(s *HybridSpec) { s.Incast.QueryRate = 752 },
+		"FaultSpec.Plan":                  func(s *HybridSpec) { s.Faults.Plan = faults.Plan{BER: 1e-6} },
+		"FaultSpec.DetectorPeriod":        func(s *HybridSpec) { s.Faults.DetectorPeriod = 50 * sim.Microsecond },
+		"FaultSpec.BreakDeadlocks":        func(s *HybridSpec) { s.Faults.BreakDeadlocks = true },
+		"FaultSpec.WatchdogWindow":        func(s *HybridSpec) { s.Faults.WatchdogWindow = sim.Millisecond },
+		"Plan.Stream":                     func(s *HybridSpec) { s.Faults.Plan.Stream = "alt" },
+		"Plan.FlapRate":                   func(s *HybridSpec) { s.Faults.Plan.FlapRate = 500 },
+		"Plan.FlapDowntime":               func(s *HybridSpec) { s.Faults.Plan.FlapDowntime = 20 * sim.Microsecond },
+		"Plan.FlapFixed":                  func(s *HybridSpec) { s.Faults.Plan.FlapFixed = true },
+		"Plan.FlapWindow":                 func(s *HybridSpec) { s.Faults.Plan.FlapWindow = sim.Millisecond },
+		"Plan.Scheduled": func(s *HybridSpec) {
+			s.Faults.Plan.Scheduled = []faults.ScheduledEvent{{Link: "tor0-agg0", At: sim.Millisecond}}
+		},
+		"Plan.BER":         func(s *HybridSpec) { s.Faults.Plan.BER = 1e-6 },
+		"Plan.PFCLossRate": func(s *HybridSpec) { s.Faults.Plan.PFCLossRate = 0.01 },
+		"Plan.Blackouts": func(s *HybridSpec) {
+			s.Faults.Plan.Blackouts = []faults.Blackout{{Switch: "agg0", At: sim.Millisecond, Duration: sim.Millisecond}}
+		},
+		"AuditSpec.Every":       func(s *HybridSpec) { s.Audit.Every = 200 * sim.Microsecond },
+		"AuditSpec.MaxPauseAge": func(s *HybridSpec) { s.Audit.MaxPauseAge = 5 * sim.Millisecond },
+		"AuditSpec.Limit":       func(s *HybridSpec) { s.Audit.Limit = 10 },
+	}
+	// Every non-key field, with the reason it stays out of the key.
+	excluded := map[string]string{
+		"HybridSpec.PolicyFactory": "func: uncacheable, CacheKey refuses it",
+		"HybridSpec.TopoOverride":  "func: uncacheable, CacheKey refuses it",
+		"HybridSpec.Hooks":         "funcs: uncacheable, CacheKey refuses it",
+		"HybridSpec.Trace":         "an armed flight recorder is uncacheable, CacheKey refuses it",
+		"HybridSpec.Sched":         "execution strategy: both backends produce byte-identical results",
+		"Plan.LinkFilter":          "func: uncacheable, CacheKey refuses it",
+	}
+	// A field added to any spec type must be classified before it can ship:
+	// a key that silently ignores it collides specs with different results.
+	fields := map[string]bool{}
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf(HybridSpec{}), reflect.TypeOf(IncastSpec{}), reflect.TypeOf(FaultSpec{}),
+		reflect.TypeOf(faults.Plan{}), reflect.TypeOf(AuditSpec{}),
 	} {
-		spec := base
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.IsExported() {
+				fields[typ.Name()+"."+f.Name] = true
+			}
+		}
+	}
+	for name := range fields {
+		_, mutated := mutations[name]
+		_, skipped := excluded[name]
+		switch {
+		case mutated && skipped:
+			t.Errorf("%s is both a key field and excluded", name)
+		case !mutated && !skipped:
+			t.Errorf("%s is unclassified: add a key mutation or an exclusion with its reason", name)
+		}
+	}
+	for name := range mutations {
+		if !fields[name] {
+			t.Errorf("mutation table names %s, which is not a spec field", name)
+		}
+	}
+	for name := range excluded {
+		if !fields[name] {
+			t.Errorf("exclusion list names %s, which is not a spec field", name)
+		}
+	}
+	for name, mutate := range mutations {
+		spec := newBase()
 		mutate(&spec)
 		key, err := CacheKey(spec)
 		if err != nil {

@@ -3,18 +3,14 @@ package exp
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"l2bm/internal/audit"
-	"l2bm/internal/core"
-	"l2bm/internal/dcqcn"
 	"l2bm/internal/faults"
 	"l2bm/internal/metrics"
 	"l2bm/internal/pkt"
 	"l2bm/internal/sim"
 	"l2bm/internal/topo"
 	"l2bm/internal/trace"
-	"l2bm/internal/transport"
 	"l2bm/internal/workload"
 )
 
@@ -325,27 +321,6 @@ func (r *Result) QueryDelaySummary() metrics.Summary {
 // load per 4096 events) to leave always-on.
 const interruptPollEvents = 4096
 
-// newAuditor builds the in-run invariant auditor for a spec, deriving the
-// fault-tolerant settings: any active fault plan may legitimately strand a
-// PFC pause (lost XON, cut carrier, blacked-out switch), so drain-time
-// pause-leak checking is relaxed exactly then.
-func newAuditor(spec HybridSpec, cl *topo.Cluster) *audit.Auditor {
-	return audit.New(cl, audit.Config{
-		Every:            spec.Audit.Every,
-		MaxPauseAge:      spec.Audit.MaxPauseAge,
-		Limit:            spec.Audit.Limit,
-		AllowLeakedPause: spec.Faults != nil,
-	})
-}
-
-// finishAudit runs the drain-time checks and folds the auditor's findings
-// into the result.
-func finishAudit(aud *audit.Auditor, res *Result) {
-	aud.Final()
-	res.AuditErrors = append(res.AuditErrors, aud.Violations()...)
-	res.AuditChecks = aud.Checks()
-}
-
 // RunHybrid executes one hybrid data point, dispatching to the sharded
 // conductor when spec.Shards ≥ 1.
 func RunHybrid(spec HybridSpec) (*Result, error) {
@@ -369,7 +344,7 @@ func RunHybridCtx(ctx context.Context, spec HybridSpec) (*Result, error) {
 			return nil, fmt.Errorf("exp: hybrid fidelity requires the classic engine (got Shards=%d)", spec.Shards)
 		}
 		if spec.Faults == nil {
-			return runHybridFluid(ctx, spec)
+			return runFluid(ctx, planRun(spec))
 		}
 		// A fault plan is a standing fidelity trigger: the controller would
 		// never leave packet mode, so the run falls through to the classic
@@ -380,32 +355,23 @@ func RunHybridCtx(ctx context.Context, spec HybridSpec) (*Result, error) {
 		return nil, fmt.Errorf("exp: unknown fidelity %q (want %q or %q)",
 			spec.Fidelity, FidelityPacket, FidelityHybrid)
 	}
+	run := runClassic
 	if spec.Shards >= 1 {
-		res, err := runHybridSharded(ctx, spec)
-		if res != nil {
-			res.FidelityFallback = fidelityFallback
-		}
-		return res, err
+		run = runSharded
 	}
-	policyName := spec.Policy
-	factory := spec.PolicyFactory
-	if factory == nil {
-		name := spec.Policy
-		factory = func() core.Policy { return NewPolicy(name) }
-	} else if policyName == "" {
-		policyName = factory().Name()
+	res, err := run(ctx, planRun(spec))
+	if res != nil {
+		res.FidelityFallback = fidelityFallback
 	}
+	return res, err
+}
 
-	// The seed deliberately excludes the policy: the paper compares buffer
-	// management schemes under the same offered workload, so runs differ
-	// only in MMU decisions (common random numbers).
-	seed := seedFor(spec.Name, spec.SeedSalt,
-		fmt.Sprintf("%v/%v/%v", spec.RDMALoad, spec.TCPLoad, spec.Scale))
+// runClassic executes one data point on a single engine; every observer
+// (fault detectors, auditor) runs as an engine event.
+func runClassic(ctx context.Context, p *runPlan) (*Result, error) {
 	rec := metrics.NewFCTRecorder()
-
 	var incastGen *workload.Incast
 	incastIDs := make(map[pkt.FlowID]bool)
-
 	onComplete := func(id pkt.FlowID, at sim.Time) {
 		rec.Completed(id, at)
 		if incastGen != nil {
@@ -413,319 +379,63 @@ func RunHybridCtx(ctx context.Context, spec HybridSpec) (*Result, error) {
 		}
 	}
 
-	topoCfg := spec.Scale.Topo()
-	if spec.TopoOverride != nil {
-		spec.TopoOverride(&topoCfg)
-	}
-	if spec.Faults != nil {
-		// Injected loss breaks the lossless assumption, so RDMA needs the
-		// go-back-N recovery path; fault-free runs keep it off to preserve
-		// the paper's baseline byte-for-byte.
-		if topoCfg.DCQCN.LineRate == 0 {
-			topoCfg.DCQCN = dcqcn.DefaultConfig(topoCfg.ServerRate)
-		}
-		topoCfg.DCQCN.GoBackN = true
-	}
-	eng, err := newEngineFor(spec.Sched, &topoCfg, seed)
+	eng, err := p.newEngine(p.seed)
 	if err != nil {
 		return nil, err
 	}
-	cl, err := topo.Build(eng, topoCfg, factory, onComplete)
+	cl, err := topo.Build(eng, p.topoCfg, p.factory, onComplete)
 	if err != nil {
 		return nil, err
 	}
-	if spec.Hooks != nil && spec.Hooks.PostBuild != nil {
-		spec.Hooks.PostBuild(cl)
-	}
+	p.postBuild(cl)
 
-	var inj *faults.Injector
-	var det *faults.DeadlockDetector
-	var wd *faults.Watchdog
-	if spec.Faults != nil {
-		links, tiers := clusterFaultLinks(cl)
-		plan := spec.Faults.Plan
-		if plan.LinkFilter == nil && plan.FlapRate > 0 {
-			plan.LinkFilter = func(name string) bool {
-				t := tiers[name]
-				return t == topo.TierTorAgg || t == topo.TierAggCore
-			}
-		}
-		inj, err = faults.NewInjector(eng, plan, links)
+	var rig faultRig
+	if p.spec.Faults != nil {
+		inj, err := p.newInjector(eng, cl, cl.SetLinkState)
 		if err != nil {
 			return nil, err
 		}
 		inj.Install()
-
-		det = faults.NewDeadlockDetector(eng, cl.AllSwitches())
-		if spec.Faults.DetectorPeriod > 0 {
-			det.Period = spec.Faults.DetectorPeriod
-		}
-		det.Break = spec.Faults.BreakDeadlocks
-		det.Start()
-
-		wd = faults.NewWatchdog(eng, cl.DataReceived, cl.ResidentBytes)
-		if spec.Faults.WatchdogWindow > 0 {
-			wd.Window = spec.Faults.WatchdogWindow
-		}
-		wd.Start()
+		rig.injs = []*faults.Injector{inj}
+		rig.det, rig.wd = p.newFaultObservers(eng, cl)
+		rig.det.Start()
+		rig.wd.Start()
 	}
 
-	window := spec.Scale.Window()
-	if spec.WindowOverride > 0 {
-		window = spec.WindowOverride
+	if incastGen, err = p.installWorkload(eng, cl, rec, incastIDs, nil); err != nil {
+		return nil, err
 	}
-
-	observe := func(f *transport.Flow) {
-		rec.Started(f, cl.IdealFCT(f.Src, f.Dst, f.Size))
+	samplers := p.armOccupancy(cl)
+	var tracers []*trace.Recorder
+	if p.spec.Trace != nil {
+		tracers = p.armTracer(cl, p.window) // sample the loaded phase, like the metrics samplers
 	}
-
-	// Split each rack: first half RDMA senders, second half TCP senders.
-	var rdmaHosts, tcpHosts, allHosts []int
-	perRack := topoCfg.ServersPerToR
-	for h := 0; h < cl.NumHosts(); h++ {
-		allHosts = append(allHosts, h)
-		if h%perRack < perRack/2 {
-			rdmaHosts = append(rdmaHosts, h)
-		} else {
-			tcpHosts = append(tcpHosts, h)
-		}
-	}
-	var forbid func(src, dst int) bool
-	if spec.InterRackOnly {
-		forbid = func(src, dst int) bool { return cl.ToROf(src) == cl.ToROf(dst) }
-	}
-
-	if spec.RDMALoad > 0 {
-		g, err := workload.NewPoisson(eng, cl, workload.PoissonConfig{
-			Sources:    rdmaHosts,
-			Dests:      allHosts,
-			Load:       spec.RDMALoad,
-			HostRate:   topoCfg.ServerRate,
-			Sizes:      workload.WebSearchCDF(),
-			Priority:   pkt.PrioLossless,
-			Class:      pkt.ClassLossless,
-			Window:     window,
-			Observer:   observe,
-			Forbid:     forbid,
-			StreamName: "rdma",
-			IDTag:      tagRDMA,
-		})
-		if err != nil {
-			return nil, err
-		}
-		g.Install()
-	}
-	if spec.TCPLoad > 0 {
-		g, err := workload.NewPoisson(eng, cl, workload.PoissonConfig{
-			Sources:    tcpHosts,
-			Dests:      allHosts,
-			Load:       spec.TCPLoad,
-			HostRate:   topoCfg.ServerRate,
-			Sizes:      workload.WebSearchCDF(),
-			Priority:   pkt.PrioLossy,
-			Class:      pkt.ClassLossy,
-			Window:     window,
-			Observer:   observe,
-			Forbid:     forbid,
-			StreamName: "tcp",
-			IDTag:      tagTCP,
-		})
-		if err != nil {
-			return nil, err
-		}
-		g.Install()
-	}
-	if spec.Incast != nil {
-		fanout := spec.Incast.Fanout
-		if fanout >= len(allHosts) {
-			// Scaled-down topologies cannot host the full fan-in degree.
-			fanout = len(allHosts) - 1
-		}
-		// Queries target (and are answered by) any server, so fan-in
-		// bursts land on ports whose buffers the TCP background is
-		// already pressuring — the §IV-B contention the deep dive probes.
-		incastGen, err = workload.NewIncast(eng, cl, workload.IncastConfig{
-			Hosts:        allHosts,
-			Fanout:       fanout,
-			RequestBytes: spec.Incast.RequestBytes,
-			QueryRate:    spec.Incast.QueryRate,
-			Window:       window,
-			Priority:     pkt.PrioLossless,
-			Class:        pkt.ClassLossless,
-			Observer: func(f *transport.Flow) {
-				incastIDs[f.ID] = true
-				observe(f)
-			},
-			StreamName: "incast",
-			IDTag:      tagIncast,
-		})
-		if err != nil {
-			return nil, err
-		}
-		incastGen.Install()
-	}
-
-	// Occupancy samplers, one per ToR (the paper traces rack switches).
-	every := spec.OccupancySampleEvery
-	if every <= 0 {
-		every = 100 * sim.Microsecond
-	}
-	drain := spec.Scale.Drain()
-	if spec.DrainOverride > 0 {
-		drain = spec.DrainOverride
-	}
-	horizon := window + drain
-	samplers := make([]*metrics.Sampler, len(cl.ToRs))
-	for i, tor := range cl.ToRs {
-		tor := tor
-		samplers[i] = metrics.NewSampler(eng, every, tor.Occupancy)
-		samplers[i].Start(window) // trace the loaded phase, like the paper
-	}
-
-	// Flight recorder: arm MMU probes on every switch and a periodic
-	// occupancy + L2BM weight sampler. Everything here is feed-forward
-	// (probes and PeekSamples are pure reads), so arming it cannot change
-	// the run's results.
-	var tracer *trace.Recorder
-	if spec.Trace != nil {
-		tracer = trace.NewRecorder(spec.Trace.Capacity)
-		tEvery := spec.Trace.SampleEvery
-		if tEvery <= 0 {
-			tEvery = every
-		}
-		ts := trace.NewSampler(eng, tracer, tEvery)
-		for _, sw := range cl.AllSwitches() {
-			sw := sw
-			sw.SetTracer(tracer)
-			ts.AddSwitch(sw)
-			if l, ok := sw.Policy().(*core.L2BM); ok {
-				name := sw.Name()
-				var scratch []core.QueueSample // reused across ticks: zero-alloc sampling
-				ts.AddProbe(func(now sim.Time, rec *trace.Recorder) {
-					scratch = l.PeekSamplesAppend(scratch[:0], sw)
-					for _, qs := range scratch {
-						rec.RecordWeight(trace.WeightSample{
-							At: now, Switch: name, Port: qs.Port, Prio: qs.Prio,
-							Tau: qs.Tau, Weight: qs.Weight, Threshold: qs.Threshold,
-						})
-					}
-				})
-			}
-		}
-		ts.Start(window) // sample the loaded phase, like the metrics samplers
-	}
-
 	var aud *audit.Auditor
-	if spec.Audit != nil {
-		aud = newAuditor(spec, cl)
+	if p.spec.Audit != nil {
+		aud = newAuditor(p.spec, cl)
 		aud.Start()
 	}
 	if ctx.Done() != nil {
 		eng.SetInterrupt(interruptPollEvents, func() bool { return ctx.Err() != nil })
 	}
 
-	eng.Run(horizon)
+	eng.Run(p.horizon)
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	res := &Result{
-		Spec:             spec,
-		Policy:           policyName,
-		RDMASlowdowns:    rec.Slowdowns(pkt.ClassLossless),
-		TCPSlowdowns:     rec.Slowdowns(pkt.ClassLossy),
-		LosslessGaps:     cl.LosslessGaps(),
-		Events:           eng.Events(),
-		EndTime:          eng.Now(),
-		FidelityFallback: fidelityFallback,
-	}
-	if tracer != nil {
+	res := p.newResult()
+	res.EndTime = eng.Now()
+	if tracers != nil {
 		// Canonicalize through the same merge as the sharded runner so
 		// exported trace files are byte-identical across execution modes.
-		res.Trace = trace.Merge(tracer)
+		res.Trace = trace.Merge(tracers...)
 	}
-	res.FlowsStarted, res.FlowsCompleted = rec.Counts()
-	res.Incomplete = rec.IncompleteRecords()
-	res.TruncatedFlows = len(res.Incomplete)
-
-	if incastGen != nil {
-		for _, fr := range rec.Records(pkt.ClassLossless) {
-			if incastIDs[fr.Flow.ID] {
-				res.IncastSlowdowns = append(res.IncastSlowdowns, fr.Slowdown())
-			}
-		}
-		// Keep the ascending invariant shared with the per-class slices so
-		// percentile readers can use the sorted fast path.
-		sort.Float64s(res.IncastSlowdowns)
-		res.QueryDelays = incastGen.CompletedResponseTimes()
-	}
-
-	for _, s := range samplers {
-		res.TorOccupancy = append(res.TorOccupancy, s.Samples)
-	}
-
-	all := topo.SwitchStats(cl.AllSwitches())
-	res.PauseFrames = all.PauseFramesSent
-	res.LossyDrops = all.LossyDropsIngress + all.LossyDropsEgress
-	res.LossyEvictions = all.LossyEvictions
-	res.LosslessViolations = all.LosslessViolations
-	res.ECNMarked = all.ECNMarked
-	res.PFCReissues = all.PFCReissues
-	res.ToRPauseFrames = topo.SwitchStats(cl.ToRs).PauseFramesSent
-	res.AggPauseFrames = topo.SwitchStats(cl.Aggs).PauseFramesSent
-	res.CorePauseFrames = topo.SwitchStats(cl.Cores).PauseFramesSent
-
-	res.RecoveryBytes = cl.RecoveryBytes()
-	res.RDMANACKs, res.RDMATimeouts = cl.RDMARecoveryStats()
-	if cl.Pool != nil {
-		res.PoolGets = cl.Pool.Stats().Gets
-		res.PoolLive = cl.Pool.Live()
-	}
-	for _, sw := range cl.AllSwitches() {
-		if err := sw.CheckInvariants(); err != nil {
-			res.AuditErrors = append(res.AuditErrors, err.Error())
-		}
-	}
-	if aud != nil {
-		aud.Stop()
-		finishAudit(aud, res)
-	}
-	if inj != nil {
-		s := inj.Stats()
-		res.LinkDownEvents = s.LinkDownEvents
-		res.CorruptedFrames = s.CorruptedFrames
-		res.LostPFC = s.LostPFC
-		res.CarrierDrops = inj.CarrierDrops()
-	}
-	if det != nil {
-		det.Stop()
-		ds := det.Stats()
-		res.DeadlockScans = ds.Scans
-		res.DeadlockCycles = ds.CyclesDetected
-		res.DeadlocksBroken = ds.CyclesBroken
-	}
-	if wd != nil {
-		wd.Stop()
-		res.WatchdogStalls = wd.Stalls
-	}
+	res.addFlows(rec, incastIDs, incastGen)
+	res.addOccupancy(samplers)
+	res.addCluster(cl, true)
+	res.addAudit(aud, true)
+	res.addFaults(rig)
 	return res, nil
-}
-
-// clusterFaultLinks adapts the topology's link registry to the fault
-// injector's view, binding each SetLive to the cluster's liveness-aware
-// routing update.
-func clusterFaultLinks(cl *topo.Cluster) ([]faults.Link, map[string]topo.LinkTier) {
-	links := cl.Links()
-	out := make([]faults.Link, 0, len(links))
-	tiers := make(map[string]topo.LinkTier, len(links))
-	for _, l := range links {
-		idx := l.Index
-		out = append(out, faults.Link{
-			Name: l.Name, A: l.A, B: l.B, AName: l.AName, BName: l.BName,
-			SetLive: func(up bool) { cl.SetLinkState(idx, up) },
-		})
-		tiers[l.Name] = l.Tier
-	}
-	return out, tiers
 }

@@ -10,73 +10,30 @@ package exp
 
 import (
 	"context"
-	"fmt"
-	"sort"
 
 	"l2bm/internal/audit"
-	"l2bm/internal/core"
-	"l2bm/internal/dcqcn"
-	"l2bm/internal/faults"
 	"l2bm/internal/host"
 	"l2bm/internal/metrics"
 	"l2bm/internal/netdev"
 	"l2bm/internal/pkt"
 	"l2bm/internal/psim"
 	"l2bm/internal/sim"
-	"l2bm/internal/switchsim"
 	"l2bm/internal/topo"
 	"l2bm/internal/trace"
-	"l2bm/internal/transport"
 	"l2bm/internal/workload"
 )
 
-// Structured flow-ID tags, one per generator kind. Replicated generators
-// mint IDs as pure functions of (tag, source/query, sequence), so replicas
-// on different shards agree without a shared counter; distinct tags keep
-// the ID spaces disjoint.
-const (
-	tagRDMA   byte = 1
-	tagTCP    byte = 2
-	tagIncast byte = 3
-)
-
-// runHybridSharded executes one hybrid data point across spec.Shards psim
-// shards. The seed derivation deliberately matches the classic path and
-// excludes the shard count: shard count is an execution strategy, not a
-// workload parameter.
-func runHybridSharded(ctx context.Context, spec HybridSpec) (*Result, error) {
-	shards := spec.Shards
-	policyName := spec.Policy
-	factory := spec.PolicyFactory
-	if factory == nil {
-		name := spec.Policy
-		factory = func() core.Policy { return NewPolicy(name) }
-	} else if policyName == "" {
-		policyName = factory().Name()
-	}
-
-	seed := seedFor(spec.Name, spec.SeedSalt,
-		fmt.Sprintf("%v/%v/%v", spec.RDMALoad, spec.TCPLoad, spec.Scale))
-
-	topoCfg := spec.Scale.Topo()
-	if spec.TopoOverride != nil {
-		spec.TopoOverride(&topoCfg)
-	}
-	if spec.Faults != nil {
-		if topoCfg.DCQCN.LineRate == 0 {
-			topoCfg.DCQCN = dcqcn.DefaultConfig(topoCfg.ServerRate)
-		}
-		topoCfg.DCQCN.GoBackN = true
-	}
-
-	part, err := topo.ComputePartition(topoCfg, shards)
+// runSharded executes one hybrid data point across spec.Shards psim
+// shards.
+func runSharded(ctx context.Context, p *runPlan) (*Result, error) {
+	shards := p.spec.Shards
+	part, err := topo.ComputePartition(p.topoCfg, shards)
 	if err != nil {
 		return nil, err
 	}
 	engines := make([]*sim.Engine, shards)
 	for i := range engines {
-		engines[i], err = newEngineFor(spec.Sched, &topoCfg, seed)
-		if err != nil {
+		if engines[i], err = p.newEngine(p.seed); err != nil {
 			return nil, err
 		}
 	}
@@ -93,7 +50,7 @@ func runHybridSharded(ctx context.Context, spec HybridSpec) (*Result, error) {
 		incastIDs[i] = make(map[pkt.FlowID]bool)
 	}
 
-	cl, err := topo.BuildSharded(engines, part, topoCfg, factory,
+	cl, err := topo.BuildSharded(engines, part, p.topoCfg, p.factory,
 		func(shard int) host.CompletionHandler {
 			rec := recs[shard]
 			return func(id pkt.FlowID, at sim.Time) {
@@ -106,9 +63,7 @@ func runHybridSharded(ctx context.Context, spec HybridSpec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if spec.Hooks != nil && spec.Hooks.PostBuild != nil {
-		spec.Hooks.PostBuild(cl)
-	}
+	p.postBuild(cl)
 
 	cond := psim.ForCluster(cl)
 	defer cond.Close()
@@ -116,8 +71,8 @@ func runHybridSharded(ctx context.Context, spec HybridSpec) (*Result, error) {
 	// The auditor reads state across every shard, so like the detector and
 	// watchdog it runs as a barrier task, never as one shard's engine event.
 	var aud *audit.Auditor
-	if spec.Audit != nil {
-		aud = newAuditor(spec, cl)
+	if p.spec.Audit != nil {
+		aud = newAuditor(p.spec, cl)
 		cond.AddTask(aud.Every(), func(now sim.Time) { aud.CheckOnce(now) })
 	}
 
@@ -125,224 +80,38 @@ func runHybridSharded(ctx context.Context, spec HybridSpec) (*Result, error) {
 	// plan (same named streams on identically-seeded engines). Each replica
 	// applies carrier changes to its own liveness tables and touches only
 	// the ports it owns.
-	var injs []*faults.Injector
-	var det *faults.DeadlockDetector
-	var wd *faults.Watchdog
-	if spec.Faults != nil {
+	var rig faultRig
+	if p.spec.Faults != nil {
 		for s := 0; s < shards; s++ {
-			s := s
-			links, tiers := shardFaultLinks(cl, s)
-			plan := spec.Faults.Plan
-			if plan.LinkFilter == nil && plan.FlapRate > 0 {
-				plan.LinkFilter = func(name string) bool {
-					t := tiers[name]
-					return t == topo.TierTorAgg || t == topo.TierAggCore
-				}
-			}
-			inj, err := faults.NewInjector(engines[s], plan, links)
+			inj, err := p.newInjector(engines[s], cl, func(idx int, up bool) { cl.SetLinkStateOn(s, idx, up) })
 			if err != nil {
 				return nil, err
 			}
-			inj.PortFilter = func(p *netdev.Port) bool { return p.Engine() == engines[s] }
+			inj.PortFilter = func(port *netdev.Port) bool { return port.Engine() == engines[s] }
 			inj.Install()
-			injs = append(injs, inj)
+			rig.injs = append(rig.injs, inj)
 		}
 
 		// Global observers read state across shards, so they run as barrier
 		// tasks — at exact period multiples, when all shard clocks agree and
 		// no events are in flight — never as one shard's engine events.
-		det = faults.NewDeadlockDetector(engines[0], cl.AllSwitches())
-		if spec.Faults.DetectorPeriod > 0 {
-			det.Period = spec.Faults.DetectorPeriod
-		}
-		det.Break = spec.Faults.BreakDeadlocks
-		cond.AddTask(det.Period, func(sim.Time) { det.ScanOnce() })
-
-		wd = faults.NewWatchdog(engines[0], cl.DataReceived, cl.ResidentBytes)
-		if spec.Faults.WatchdogWindow > 0 {
-			wd.Window = spec.Faults.WatchdogWindow
-		}
-		wd.Prime()
-		cond.AddTask(wd.Window, func(sim.Time) { wd.TickOnce() })
+		rig.det, rig.wd = p.newFaultObservers(engines[0], cl)
+		cond.AddTask(rig.det.Period, func(sim.Time) { rig.det.ScanOnce() })
+		rig.wd.Prime()
+		cond.AddTask(rig.wd.Window, func(sim.Time) { rig.wd.TickOnce() })
 	}
 
-	window := spec.Scale.Window()
-	if spec.WindowOverride > 0 {
-		window = spec.WindowOverride
-	}
-
-	// Rack split identical to the classic path.
-	var rdmaHosts, tcpHosts, allHosts []int
-	perRack := topoCfg.ServersPerToR
-	for h := 0; h < cl.NumHosts(); h++ {
-		allHosts = append(allHosts, h)
-		if h%perRack < perRack/2 {
-			rdmaHosts = append(rdmaHosts, h)
-		} else {
-			tcpHosts = append(tcpHosts, h)
-		}
-	}
-	var forbid func(src, dst int) bool
-	if spec.InterRackOnly {
-		forbid = func(src, dst int) bool { return cl.ToROf(src) == cl.ToROf(dst) }
-	}
-	ownedBy := func(hosts []int, shard int) []int {
-		var out []int
-		for _, h := range hosts {
-			if part.Host[h] == shard {
-				out = append(out, h)
-			}
-		}
-		return out
-	}
-
-	// Workload generators, replicated per shard. Poisson sources draw from
-	// per-source streams, so installing each shard's owned subset launches
-	// exactly the flows a single generator would have. The incast replica
-	// runs everywhere in lockstep (same queries, same draws) and its
-	// LaunchFilter restricts actual launches to owned responders.
 	for s := 0; s < shards; s++ {
-		s := s
-		rec := recs[s]
-		observe := func(f *transport.Flow) {
-			rec.Started(f, cl.IdealFCT(f.Src, f.Dst, f.Size))
-		}
-		if spec.RDMALoad > 0 {
-			if owned := ownedBy(rdmaHosts, s); len(owned) > 0 {
-				g, err := workload.NewPoisson(engines[s], cl, workload.PoissonConfig{
-					Sources:    owned,
-					Dests:      allHosts,
-					Load:       spec.RDMALoad,
-					HostRate:   topoCfg.ServerRate,
-					Sizes:      workload.WebSearchCDF(),
-					Priority:   pkt.PrioLossless,
-					Class:      pkt.ClassLossless,
-					Window:     window,
-					Observer:   observe,
-					Forbid:     forbid,
-					StreamName: "rdma",
-					IDTag:      tagRDMA,
-				})
-				if err != nil {
-					return nil, err
-				}
-				g.Install()
-			}
-		}
-		if spec.TCPLoad > 0 {
-			if owned := ownedBy(tcpHosts, s); len(owned) > 0 {
-				g, err := workload.NewPoisson(engines[s], cl, workload.PoissonConfig{
-					Sources:    owned,
-					Dests:      allHosts,
-					Load:       spec.TCPLoad,
-					HostRate:   topoCfg.ServerRate,
-					Sizes:      workload.WebSearchCDF(),
-					Priority:   pkt.PrioLossy,
-					Class:      pkt.ClassLossy,
-					Window:     window,
-					Observer:   observe,
-					Forbid:     forbid,
-					StreamName: "tcp",
-					IDTag:      tagTCP,
-				})
-				if err != nil {
-					return nil, err
-				}
-				g.Install()
-			}
-		}
-		if spec.Incast != nil {
-			fanout := spec.Incast.Fanout
-			if fanout >= len(allHosts) {
-				fanout = len(allHosts) - 1
-			}
-			ids := incastIDs[s]
-			g, err := workload.NewIncast(engines[s], cl, workload.IncastConfig{
-				Hosts:        allHosts,
-				Fanout:       fanout,
-				RequestBytes: spec.Incast.RequestBytes,
-				QueryRate:    spec.Incast.QueryRate,
-				Window:       window,
-				Priority:     pkt.PrioLossless,
-				Class:        pkt.ClassLossless,
-				Observer: func(f *transport.Flow) {
-					ids[f.ID] = true
-					observe(f)
-				},
-				StreamName:   "incast",
-				IDTag:        tagIncast,
-				LaunchFilter: func(src int) bool { return part.Host[src] == s },
-			})
-			if err != nil {
-				return nil, err
-			}
-			g.Install()
-			incastGens[s] = g
+		incastGens[s], err = p.installWorkload(engines[s], cl, recs[s], incastIDs[s],
+			func(h int) bool { return part.Host[h] == s })
+		if err != nil {
+			return nil, err
 		}
 	}
-
-	// Occupancy samplers: engine-driven ticks on each ToR's own shard (pure
-	// shard-local reads, so no barrier needed).
-	every := spec.OccupancySampleEvery
-	if every <= 0 {
-		every = 100 * sim.Microsecond
-	}
-	drain := spec.Scale.Drain()
-	if spec.DrainOverride > 0 {
-		drain = spec.DrainOverride
-	}
-	horizon := window + drain
-	samplers := make([]*metrics.Sampler, len(cl.ToRs))
-	for i, tor := range cl.ToRs {
-		tor := tor
-		samplers[i] = metrics.NewSampler(engines[part.ToR[i]], every, tor.Occupancy)
-		samplers[i].Start(window)
-	}
-
-	// Flight recorder: one per shard (rings are single-threaded), merged
-	// canonically after the run.
+	samplers := p.armOccupancy(cl)
 	var tracers []*trace.Recorder
-	if spec.Trace != nil {
-		tEvery := spec.Trace.SampleEvery
-		if tEvery <= 0 {
-			tEvery = every
-		}
-		tracers = make([]*trace.Recorder, shards)
-		tss := make([]*trace.Sampler, shards)
-		for s := 0; s < shards; s++ {
-			tracers[s] = trace.NewRecorder(spec.Trace.Capacity)
-			tss[s] = trace.NewSampler(engines[s], tracers[s], tEvery)
-		}
-		armSwitch := func(sw *switchsim.Switch, shard int) {
-			sw.SetTracer(tracers[shard])
-			tss[shard].AddSwitch(sw)
-			if l, ok := sw.Policy().(*core.L2BM); ok {
-				name := sw.Name()
-				rec := tracers[shard]
-				var scratch []core.QueueSample
-				tss[shard].AddProbe(func(now sim.Time, _ *trace.Recorder) {
-					scratch = l.PeekSamplesAppend(scratch[:0], sw)
-					for _, qs := range scratch {
-						rec.RecordWeight(trace.WeightSample{
-							At: now, Switch: name, Port: qs.Port, Prio: qs.Prio,
-							Tau: qs.Tau, Weight: qs.Weight, Threshold: qs.Threshold,
-						})
-					}
-				})
-			}
-		}
-		for i, sw := range cl.ToRs {
-			armSwitch(sw, part.ToR[i])
-		}
-		for i, sw := range cl.Aggs {
-			armSwitch(sw, part.Agg[i])
-		}
-		for i, sw := range cl.Cores {
-			armSwitch(sw, part.Core[i])
-		}
-		for _, ts := range tss {
-			ts.Start(window)
-		}
+	if p.spec.Trace != nil {
+		tracers = p.armTracer(cl, p.window)
 	}
 
 	if ctx.Done() != nil {
@@ -351,114 +120,27 @@ func runHybridSharded(ctx context.Context, spec HybridSpec) (*Result, error) {
 		cond.SetInterrupt(interruptPollEvents, func() bool { return ctx.Err() != nil })
 	}
 
-	cond.Run(horizon)
+	cond.Run(p.horizon)
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	rec := recs[0].Merge(recs[1:]...)
-	res := &Result{
-		Spec:          spec,
-		Policy:        policyName,
-		RDMASlowdowns: rec.Slowdowns(pkt.ClassLossless),
-		TCPSlowdowns:  rec.Slowdowns(pkt.ClassLossy),
-		LosslessGaps:  cl.LosslessGaps(),
-		Events:        cond.Events(),
-		EndTime:       cond.Now(),
+	allIncast := make(map[pkt.FlowID]bool)
+	for _, m := range incastIDs {
+		for id := range m {
+			allIncast[id] = true
+		}
 	}
+	res := p.newResult()
+	res.EndTime = cond.Now()
 	if tracers != nil {
 		res.Trace = trace.Merge(tracers...)
 	}
-	res.FlowsStarted, res.FlowsCompleted = rec.Counts()
-	res.Incomplete = rec.IncompleteRecords()
-	res.TruncatedFlows = len(res.Incomplete)
-
-	if spec.Incast != nil {
-		allIncast := make(map[pkt.FlowID]bool)
-		for _, m := range incastIDs {
-			for id := range m {
-				allIncast[id] = true
-			}
-		}
-		for _, fr := range rec.Records(pkt.ClassLossless) {
-			if allIncast[fr.Flow.ID] {
-				res.IncastSlowdowns = append(res.IncastSlowdowns, fr.Slowdown())
-			}
-		}
-		sort.Float64s(res.IncastSlowdowns)
-		res.QueryDelays = workload.MergeCompletedResponseTimes(incastGens...)
-	}
-
-	for _, s := range samplers {
-		res.TorOccupancy = append(res.TorOccupancy, s.Samples)
-	}
-
-	all := topo.SwitchStats(cl.AllSwitches())
-	res.PauseFrames = all.PauseFramesSent
-	res.LossyDrops = all.LossyDropsIngress + all.LossyDropsEgress
-	res.LossyEvictions = all.LossyEvictions
-	res.LosslessViolations = all.LosslessViolations
-	res.ECNMarked = all.ECNMarked
-	res.PFCReissues = all.PFCReissues
-	res.ToRPauseFrames = topo.SwitchStats(cl.ToRs).PauseFramesSent
-	res.AggPauseFrames = topo.SwitchStats(cl.Aggs).PauseFramesSent
-	res.CorePauseFrames = topo.SwitchStats(cl.Cores).PauseFramesSent
-
-	res.RecoveryBytes = cl.RecoveryBytes()
-	res.RDMANACKs, res.RDMATimeouts = cl.RDMARecoveryStats()
-	for _, pl := range cl.Pools {
-		if pl != nil {
-			res.PoolGets += pl.Stats().Gets
-			res.PoolLive += pl.Live()
-		}
-	}
-	for _, sw := range cl.AllSwitches() {
-		if err := sw.CheckInvariants(); err != nil {
-			res.AuditErrors = append(res.AuditErrors, err.Error())
-		}
-	}
-	if aud != nil {
-		finishAudit(aud, res)
-	}
-	if len(injs) > 0 {
-		// Process counters (flaps, blackouts) replay identically on every
-		// replica — read replica 0. Port-scoped counters (corruption, lost
-		// PFC) only count owned ports — sum them. CarrierDrops reads every
-		// port's counters, identical from any replica after the run.
-		res.LinkDownEvents = injs[0].Stats().LinkDownEvents
-		for _, inj := range injs {
-			s := inj.Stats()
-			res.CorruptedFrames += s.CorruptedFrames
-			res.LostPFC += s.LostPFC
-		}
-		res.CarrierDrops = injs[0].CarrierDrops()
-	}
-	if det != nil {
-		ds := det.Stats()
-		res.DeadlockScans = ds.Scans
-		res.DeadlockCycles = ds.CyclesDetected
-		res.DeadlocksBroken = ds.CyclesBroken
-	}
-	if wd != nil {
-		res.WatchdogStalls = wd.Stalls
-	}
+	res.addFlows(recs[0].Merge(recs[1:]...), allIncast, incastGens...)
+	res.addOccupancy(samplers)
+	res.addCluster(cl, true)
+	res.addAudit(aud, true)
+	res.addFaults(rig)
 	return res, nil
-}
-
-// shardFaultLinks adapts the link registry to one shard's injector replica:
-// SetLive mutates only that shard's liveness replica and owned ports.
-func shardFaultLinks(cl *topo.Cluster, shard int) ([]faults.Link, map[string]topo.LinkTier) {
-	links := cl.Links()
-	out := make([]faults.Link, 0, len(links))
-	tiers := make(map[string]topo.LinkTier, len(links))
-	for _, l := range links {
-		idx := l.Index
-		out = append(out, faults.Link{
-			Name: l.Name, A: l.A, B: l.B, AName: l.AName, BName: l.BName,
-			SetLive: func(up bool) { cl.SetLinkStateOn(shard, idx, up) },
-		})
-		tiers[l.Name] = l.Tier
-	}
-	return out, tiers
 }

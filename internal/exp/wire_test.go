@@ -43,9 +43,30 @@ func TestScaleJSON(t *testing.T) {
 	}
 }
 
+// validSweepBody and invalidSweepBodies are TestParseSweepRequest's inputs,
+// shared as the seed corpus of FuzzParseSweepRequest.
+const validSweepBody = `{"name":"ok","specs":[{"Name":"p0","Policy":"DT","Scale":"tiny","TCPLoad":0.4}]}`
+
+var invalidSweepBodies = map[string]string{
+	"syntax":          `{"specs":`,
+	"unknown field":   `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Polciy":"DT"}]}`,
+	"trailing data":   validSweepBody + `{"more":1}`,
+	"no specs":        `{"name":"empty","specs":[]}`,
+	"missing name":    `{"specs":[{"Policy":"DT","Scale":"tiny"}]}`,
+	"missing policy":  `{"specs":[{"Name":"p","Scale":"tiny"}]}`,
+	"unknown policy":  `{"specs":[{"Name":"p","Policy":"Nope","Scale":"tiny"}]}`,
+	"unknown scale":   `{"specs":[{"Name":"p","Policy":"DT","Scale":99}]}`,
+	"bad fidelity":    `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Fidelity":"analytic"}]}`,
+	"hybrid sharded":  `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Fidelity":"hybrid","Shards":2}]}`,
+	"bad sched":       `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Sched":"lottery"}]}`,
+	"negative shards": `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Shards":-1}]}`,
+	"load too high":   `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","TCPLoad":1.5}]}`,
+	"load negative":   `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","RDMALoad":-0.1}]}`,
+	"bad incast":      `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Incast":{"Fanout":0,"RequestBytes":1,"QueryRate":1}}]}`,
+}
+
 func TestParseSweepRequest(t *testing.T) {
-	valid := `{"name":"ok","specs":[{"Name":"p0","Policy":"DT","Scale":"tiny","TCPLoad":0.4}]}`
-	req, err := ParseSweepRequest([]byte(valid))
+	req, err := ParseSweepRequest([]byte(validSweepBody))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,23 +74,7 @@ func TestParseSweepRequest(t *testing.T) {
 		t.Errorf("parsed request wrong: %+v", req)
 	}
 
-	for name, body := range map[string]string{
-		"syntax":          `{"specs":`,
-		"unknown field":   `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Polciy":"DT"}]}`,
-		"trailing data":   valid + `{"more":1}`,
-		"no specs":        `{"name":"empty","specs":[]}`,
-		"missing name":    `{"specs":[{"Policy":"DT","Scale":"tiny"}]}`,
-		"missing policy":  `{"specs":[{"Name":"p","Scale":"tiny"}]}`,
-		"unknown policy":  `{"specs":[{"Name":"p","Policy":"Nope","Scale":"tiny"}]}`,
-		"unknown scale":   `{"specs":[{"Name":"p","Policy":"DT","Scale":99}]}`,
-		"bad fidelity":    `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Fidelity":"analytic"}]}`,
-		"hybrid sharded":  `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Fidelity":"hybrid","Shards":2}]}`,
-		"bad sched":       `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Sched":"lottery"}]}`,
-		"negative shards": `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Shards":-1}]}`,
-		"load too high":   `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","TCPLoad":1.5}]}`,
-		"load negative":   `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","RDMALoad":-0.1}]}`,
-		"bad incast":      `{"specs":[{"Name":"p","Policy":"DT","Scale":"tiny","Incast":{"Fanout":0,"RequestBytes":1,"QueryRate":1}}]}`,
-	} {
+	for name, body := range invalidSweepBodies {
 		if _, err := ParseSweepRequest([]byte(body)); err == nil {
 			t.Errorf("%s: want error, got success", name)
 		}
@@ -147,4 +152,46 @@ func TestMarshalResultsEnvelope(t *testing.T) {
 	if len(decoded.Points) != 2 {
 		t.Errorf("envelope has %d points, want 2", len(decoded.Points))
 	}
+}
+
+// FuzzParseSweepRequest: the daemon's request decoder never panics, and
+// every request it accepts survives re-marshal and re-parse with the same
+// SweepID and the same per-spec cache keys (or the same refusal to key).
+func FuzzParseSweepRequest(f *testing.F) {
+	f.Add([]byte(validSweepBody))
+	// One accepted request with every optional section set, so mutations
+	// start from nested fields too.
+	f.Add([]byte(`{"name":"full","specs":[{"Name":"p","Policy":"L2BM","Scale":"small","RDMALoad":0.4,` +
+		`"TCPLoad":0.2,"Shards":2,"Incast":{"Fanout":4,"RequestBytes":1000,"QueryRate":5},` +
+		`"Faults":{"Plan":{"FlapRate":5,"FlapDowntime":1000,"BER":1e-9}},"Audit":{"Every":1000},"Trace":{"Capacity":8}}]}`))
+	for _, body := range invalidSweepBodies {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := ParseSweepRequest(data)
+		if err != nil {
+			return
+		}
+		again, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("accepted request does not re-marshal: %v", err)
+		}
+		req2, err := ParseSweepRequest(again)
+		if err != nil {
+			t.Fatalf("re-marshaled request rejected: %v\n%s", err, again)
+		}
+		if a, b := req.SweepID(), req2.SweepID(); a != b {
+			t.Fatalf("SweepID changed across the round trip: %s vs %s\n%s", a, b, again)
+		}
+		if len(req2.Specs) != len(req.Specs) {
+			t.Fatalf("round trip changed the spec count: %d vs %d", len(req.Specs), len(req2.Specs))
+		}
+		for i := range req.Specs {
+			k1, err1 := CacheKey(req.Specs[i])
+			k2, err2 := CacheKey(req2.Specs[i])
+			if k1 != k2 || (err1 == nil) != (err2 == nil) {
+				t.Fatalf("spec %d: cache key changed across the round trip: %q (%v) vs %q (%v)", i, k1, err1, k2, err2)
+			}
+		}
+	})
 }

@@ -22,7 +22,8 @@
 //     completions that also evaluates the fidelity triggers. It never
 //     crosses a trigger: it stops AT the trigger instant and hands control
 //     back to the driver, which runs a full packet segment
-//     (internal/exp.runHybridFluid) and returns with residual flow state.
+//     (internal/exp.hybridRun.packetSegment, under the segment loop of
+//     internal/exp.runFluid) and returns with residual flow state.
 //
 // Fidelity triggers (fluid → packet): a scheduled incast burst within
 // PreMargin; an arrival pushing an access link's sharing degree to
